@@ -237,28 +237,29 @@ class BatchedDetector:
         registry.counter("detector.batch.batches").inc()
         registry.counter("detector.batch.pairs").inc(len(summaries))
 
-        # Phase 1 — screen, plan, and bin every pair.  This is the
-        # rng-bearing part, so it runs strictly in pair order.
+        # Phase 1 — screen, plan (interval GMM), and bin every pair.
+        # This is the rng-bearing part, so it runs strictly in pair order.
         units: List[_PairUnit] = []
         pending: List[_Slot] = []
-        for summary in summaries:
-            registry.counter("detector.pairs_total").inc()
-            detector = self.detector.for_time_scale(summary.time_scale)
-            unit = _PairUnit(detector=detector)
-            ts = as_sorted_timestamps(summary.timestamps())
-            early, prepared = detector._screen(ts)
-            if early is not None:
-                unit.result = early
-            else:
-                duration, scales = prepared
-                unit.plan = detector._plan(ts, duration, scales)
-                for scale in unit.plan.scales:
-                    signal = detector._bin_at_scale(unit.plan, scale)
-                    if signal is not None:
-                        slot = _Slot(scale=scale, signal=signal)
-                        unit.slots.append(slot)
-                        pending.append(slot)
-            units.append(unit)
+        with span("detect.batch.plan"):
+            for summary in summaries:
+                registry.counter("detector.pairs_total").inc()
+                detector = self.detector.for_time_scale(summary.time_scale)
+                unit = _PairUnit(detector=detector)
+                ts = as_sorted_timestamps(summary.timestamps())
+                early, prepared = detector._screen(ts)
+                if early is not None:
+                    unit.result = early
+                else:
+                    duration, scales = prepared
+                    unit.plan = detector._plan(ts, duration, scales)
+                    for scale in unit.plan.scales:
+                        signal = detector._bin_at_scale(unit.plan, scale)
+                        if signal is not None:
+                            slot = _Slot(scale=scale, signal=signal)
+                            unit.slots.append(slot)
+                            pending.append(slot)
+                units.append(unit)
 
         # Phase 2 — one batched FFT per distinct signal length.
         with span("detect.batch.spectra"):

@@ -10,7 +10,11 @@ a candidate period with its mixture weight.
 
 The EM implementation is self-contained (no sklearn): k-means++-style
 initialization, standard E/M updates with a variance floor, and
-log-likelihood convergence monitoring.
+log-likelihood convergence monitoring.  EM iterates over the *distinct*
+interval values, each weighted by its multiplicity: quantized interval
+lists repeat heavily (a 600 s summary scale leaves a few dozen distinct
+values among hundreds of intervals), and the weighted updates equal the
+per-sample ones up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -85,7 +89,12 @@ class GaussianMixture:
     def responsibilities(self, values: Sequence[float]) -> np.ndarray:
         """Posterior component membership for each value, shape (n, k)."""
         x = as_float_array(values, "values")
-        log_probs = _component_log_probs(x, self.components)
+        log_probs = _log_probs(
+            x,
+            np.asarray([c.mean for c in self.components]),
+            np.asarray([c.variance for c in self.components]),
+            np.asarray([c.weight for c in self.components]),
+        )
         log_norm = _logsumexp(log_probs, axis=1, keepdims=True)
         return np.exp(log_probs - log_norm)
 
@@ -95,24 +104,19 @@ class GaussianMixture:
 
 
 def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
-    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    peak = a.max(axis=axis, keepdims=True)
+    out = peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _component_log_probs(
-    x: np.ndarray, components: Sequence[GaussianComponent]
+def _log_probs(
+    x: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted log density of each sample under each component."""
-    logs = np.empty((x.size, len(components)))
-    for j, comp in enumerate(components):
-        log_w = math.log(max(comp.weight, 1e-300))
-        logs[:, j] = (
-            log_w
-            - 0.5 * (_LOG_2PI + math.log(comp.variance))
-            - 0.5 * (x - comp.mean) ** 2 / comp.variance
-        )
-    return logs
+    """Weighted log density of each sample under each component, (n, k)."""
+    log_coef = np.log(np.maximum(weights, 1e-300)) - 0.5 * (
+        _LOG_2PI + np.log(variances)
+    )
+    return log_coef - 0.5 * (x[:, None] - means) ** 2 / variances
 
 
 def _init_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,24 +157,23 @@ def fit_gmm(
     variances = np.full(n_components, max(spread, variance_floor))
     weights = np.full(n_components, 1.0 / n_components)
 
+    # EM over distinct values: each carries its multiplicity, so the
+    # sums below equal the per-sample sums while touching far fewer rows.
+    uniq, mult = np.unique(x, return_counts=True)
+    mult = mult.astype(float)
     prev_ll = -np.inf
     converged = False
     for _ in range(max_iter):
-        components = tuple(
-            GaussianComponent(float(m), float(v), float(w))
-            for m, v, w in zip(means, variances, weights)
-        )
-        log_probs = _component_log_probs(x, components)
+        log_probs = _log_probs(uniq, means, variances, weights)
         log_norm = _logsumexp(log_probs, axis=1, keepdims=True)
-        log_likelihood = float(np.sum(log_norm))
-        resp = np.exp(log_probs - log_norm)
+        log_likelihood = float(mult @ log_norm[:, 0])
+        resp = np.exp(log_probs - log_norm) * mult[:, None]
 
-        counts = resp.sum(axis=0)
-        counts = np.maximum(counts, 1e-12)
-        weights = counts / x.size
-        means = (resp * x[:, None]).sum(axis=0) / counts
-        diffs = x[:, None] - means[None, :]
-        variances = (resp * diffs**2).sum(axis=0) / counts
+        totals = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = totals / x.size
+        means = (uniq @ resp) / totals
+        diffs = uniq[:, None] - means
+        variances = (diffs**2 * resp).sum(axis=0) / totals
         variances = np.maximum(variances, variance_floor)
 
         if abs(log_likelihood - prev_ll) < tol * max(1.0, abs(prev_ll)):

@@ -20,7 +20,7 @@ ACF verification:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,17 +109,50 @@ def t_test_candidate(
       quantized traces reject their own true period on a sub-second
       mismatch).
     """
+    ivals = as_float_array(intervals, "intervals")
+    ivals = ivals[ivals > 0]
+    return _t_test(
+        period,
+        ivals,
+        _membership(mixture, ivals),
+        alpha=alpha,
+        fold=fold,
+        tolerance=tolerance,
+    )
+
+
+#: Component means and the hard component assignment of each interval.
+_Membership = Tuple[np.ndarray, np.ndarray]
+
+
+def _membership(
+    mixture: Optional[GaussianMixture], ivals: np.ndarray
+) -> Optional[_Membership]:
+    """Cluster membership of ``ivals``, or ``None`` without a mixture."""
+    if mixture is None or mixture.n_components <= 1 or ivals.size == 0:
+        return None
+    means = np.asarray([c.mean for c in mixture.components])
+    return means, mixture.assign(ivals)
+
+
+def _t_test(
+    period: float,
+    ivals: np.ndarray,
+    membership: Optional[_Membership],
+    *,
+    alpha: float,
+    fold: bool,
+    tolerance: float,
+) -> PruningDecision:
+    """:func:`t_test_candidate` over positive ``ivals`` and their membership."""
     require_positive(period, "period")
     require_probability(alpha, "alpha")
     require(tolerance >= 0, "tolerance must be non-negative")
-    ivals = as_float_array(intervals, "intervals")
-    ivals = ivals[ivals > 0]
     if ivals.size == 0:
         return PruningDecision(period, False, "no positive intervals")
-    if mixture is not None and mixture.n_components > 1:
-        means = np.asarray([c.mean for c in mixture.components])
+    if membership is not None:
+        means, assignment = membership
         target = int(np.argmin(np.abs(means - period)))
-        assignment = mixture.assign(ivals)
         member = ivals[assignment == target]
         if member.size >= 2:
             ivals = member
@@ -188,7 +221,9 @@ def prune_candidates(
     rate, t-test); the first filter to reject a candidate records the
     reason, and the t-test (the expensive one) only runs for survivors.
     ``tolerances`` optionally gives each candidate's own resolution for
-    the equivalence-band t-test (see :func:`t_test_candidate`).
+    the equivalence-band t-test (see :func:`t_test_candidate`).  The
+    mixture assignment of the intervals is computed once, by the first
+    t-test, and shared by the others.
     """
     if tolerances is not None:
         require(len(tolerances) == len(periods),
@@ -197,6 +232,8 @@ def prune_candidates(
     n_events = ivals.size + 1
     if duration is None:
         duration = float(ivals.sum())
+    positive = ivals[ivals > 0]
+    membership: Optional[_Membership] = None
     decisions: List[PruningDecision] = []
     hf = prune_high_frequency(periods, ivals)
     sampling = prune_sampling_rate(
@@ -213,12 +250,14 @@ def prune_candidates(
             decisions.append(samp_dec)
         else:
             tolerance = float(tolerances[index]) if tolerances is not None else 0.0
+            if membership is None:  # stays None only where it is free
+                membership = _membership(mixture, positive)
             decisions.append(
-                t_test_candidate(
+                _t_test(
                     float(period),
-                    ivals,
+                    positive,
+                    membership,
                     alpha=alpha,
-                    mixture=mixture,
                     fold=fold,
                     tolerance=tolerance,
                 )

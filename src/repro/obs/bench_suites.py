@@ -5,7 +5,8 @@ Seven suites cover the pipeline's cost structure:
 - ``micro`` — the detector's hot paths in isolation: periodogram DFT
   (scalar and batched), permutation thresholding (cold and through the
   :class:`~repro.core.permutation.ThresholdCache`), ACF computation,
-  candidate pruning, and the full per-pair ``detect`` call.  These are
+  candidate pruning, interval-GMM model selection, and the full
+  per-pair ``detect`` call.  These are
   the per-pair costs that bound "millions of pairs per day".
 - ``pipeline`` — the end-to-end 8-step funnel over one synthetic
   enterprise window (events/sec here is the headline ingest rate).
@@ -73,6 +74,7 @@ def build_micro_suite() -> List[Benchmark]:
     """Hot-path microbenches over the core detector steps."""
     from repro.core.autocorrelation import autocorrelation
     from repro.core.detector import DetectorConfig, PeriodicityDetector
+    from repro.core.gmm import select_gmm
     from repro.core.periodogram import batch_max_power, power_spectrum
     from repro.core.permutation import ThresholdCache, permutation_threshold
     from repro.core.pruning import prune_candidates
@@ -139,6 +141,20 @@ def build_micro_suite() -> List[Benchmark]:
             prune_candidates(candidate_periods, intervals)
         return len(interval_sets) * len(candidate_periods)
 
+    # Interval lists shaped like a 30-day window at a 600 s scale: ~240
+    # uniform events leave ~234 positive intervals with ~55 distinct values.
+    gmm_rng = np.random.default_rng(13)
+    gmm_sets = []
+    for _ in range(8):
+        slots = np.sort(np.floor(gmm_rng.uniform(0.0, 30 * DAY, 240) / 600.0))
+        gaps = np.diff(slots * 600.0)
+        gmm_sets.append(gaps[gaps > 0])
+
+    def run_select_gmm() -> int:
+        for intervals in gmm_sets:
+            select_gmm(intervals, max_components=4, rng=np.random.default_rng(0))
+        return len(gmm_sets)
+
     detector = PeriodicityDetector(
         DetectorConfig(seed=0), threshold_cache=ThresholdCache()
     )
@@ -171,6 +187,7 @@ def build_micro_suite() -> List[Benchmark]:
         Benchmark("permutation.threshold_cache", run_threshold_cache),
         Benchmark("autocorrelation.acf", run_acf),
         Benchmark("pruning.prune_candidates", run_pruning),
+        Benchmark("gmm.select_gmm", run_select_gmm),
         Benchmark("detector.detect_sparse_pairs", run_detect_sparse),
         Benchmark("detector.detect_dense_beacon", run_detect_beacon),
     ]
@@ -427,6 +444,7 @@ def build_detection_batch_suite() -> List[Benchmark]:
     """
     from repro.core.batch import BatchedDetector
     from repro.core.detector import DetectorConfig, PeriodicityDetector
+    from repro.core.gmm import select_gmm
     from repro.core.permutation import ThresholdCache
 
     summaries = _detection_workload(1024)
@@ -640,6 +658,7 @@ def build_incremental_suite() -> List[Benchmark]:
     """
     from repro.core.batch import BatchedDetector
     from repro.core.detector import DetectorConfig, PeriodicityDetector
+    from repro.core.gmm import select_gmm
     from repro.core.permutation import ThresholdCache
     from repro.core.timeseries import merge_rescaled
     from repro.stages import IncrementalDetection, StageContext

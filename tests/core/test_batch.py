@@ -27,6 +27,7 @@ from repro.core.detector import DetectorConfig, PeriodicityDetector
 from repro.core.periodogram import candidate_peaks, power_spectrum
 from repro.core.permutation import ThresholdCache, ThresholdCacheMismatch
 from repro.core.timeseries import ActivitySummary
+from repro.obs import MetricsRegistry, scoped_registry
 
 DAY = 86_400.0
 
@@ -171,6 +172,17 @@ class TestBatchedDetectorParity:
             PeriodicityDetector(DetectorConfig(seed=0)), batch_size=3
         ).detect_summaries(summaries)
         assert [repr(r) for r in batched] == [repr(r) for r in serial]
+
+    def test_every_phase_has_a_span(self):
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            BatchedDetector(
+                PeriodicityDetector(DetectorConfig(seed=0)), batch_size=4
+            ).detect_summaries(_workload(seed=3, n_pairs=8))
+        names = {h.name for h in registry.histograms()}
+        for phase in ("plan", "spectra", "analyze", "acf", "verify"):
+            # Phase spans open inside the chunk's ``detect.batch`` span.
+            assert f"span.detect.batch.detect.batch.{phase}.seconds" in names
 
     def test_empty_input(self):
         assert BatchedDetector().detect_summaries([]) == []

@@ -143,3 +143,46 @@ class TestPruneCandidates:
         decisions = prune_candidates(candidates, intervals)
         assert len(decisions) == len(candidates)
         assert [d.period for d in decisions] == candidates
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_shared_assignment_matches_per_candidate_tests(self, rng, fold):
+        """One mixture assignment per call decides as the per-candidate path."""
+        intervals = np.concatenate(
+            [rng.normal(7.5, 0.3, size=300), rng.normal(10800.0, 30.0, size=20),
+             [0.0, 0.0]]
+        )
+        mixture = fit_gmm(intervals[intervals > 0], 2)
+        candidates = [1.0, 7.5, 7.9, 15.0, 3600.0, 10800.0, 200000.0]
+        tolerances = [0.0, 0.1, 0.0, 0.5, 0.0, 60.0, 0.0]
+        decisions = prune_candidates(
+            candidates, intervals, mixture=mixture, fold=fold,
+            tolerances=tolerances,
+        )
+        hf = prune_high_frequency(candidates, intervals)
+        sampling = prune_sampling_rate(
+            candidates, n_events=intervals.size + 1,
+            duration=float(intervals.sum()),
+        )
+        expected = [
+            h if not h.kept else s if not s.kept else t_test_candidate(
+                period, intervals, mixture=mixture, fold=fold, tolerance=tol
+            )
+            for period, tol, h, s in zip(candidates, tolerances, hf, sampling)
+        ]
+        assert decisions == expected
+        assert sum(d.reason != "ok" for d in decisions) >= 2
+        assert sum(d.kept for d in decisions) >= 2
+
+    def test_mixture_assigned_once_per_call(self, rng, monkeypatch):
+        intervals = np.concatenate(
+            [rng.normal(7.5, 0.3, size=300), rng.normal(10800.0, 30.0, size=20)]
+        )
+        mixture = fit_gmm(intervals, 2)
+        calls = []
+        assign = type(mixture).assign
+        monkeypatch.setattr(
+            type(mixture), "assign",
+            lambda self, values: calls.append(1) or assign(self, values),
+        )
+        prune_candidates([7.5, 7.6, 10800.0], intervals, mixture=mixture)
+        assert len(calls) == 1
