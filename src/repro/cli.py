@@ -139,12 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="collect run telemetry and write report.txt/metrics.jsonl/"
              "metrics.prom into DIR",
     )
-    pipe.add_argument(
-        "--columnar", action="store_true",
-        help="ingest the log through the columnar chunk parser and "
-             "vectorized fold instead of per-record objects (reports "
-             "are identical either way; markedly faster on large logs)",
-    )
     _add_provenance_options(pipe)
 
     runp = sub.add_parser(
@@ -234,12 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--status-linger", type=float, default=0.0, metavar="SECONDS",
         help="keep the status service up this long after the run ends "
              "(lets pollers observe the final state)",
-    )
-    runp.add_argument(
-        "--columnar", action="store_true",
-        help="ingest the log through the columnar chunk parser and "
-             "vectorized fold instead of per-record objects (reports "
-             "and checkpoints are identical either way)",
     )
     runp.add_argument(
         "--shared-memory", action="store_true",
@@ -518,15 +506,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         detection_batch_size=args.detection_batch_size,
         provenance=_provenance_policy(args),
     )
-    if args.columnar:
-        from repro.sources.columnar import read_log_chunks
-
-        chunks = read_log_chunks(args.input)
-        run = lambda: BaywatchPipeline(config).run_chunks(chunks)  # noqa: E731
-    else:
-        records = read_log(args.input)
-        run = lambda: BaywatchPipeline(config).run_records(records)  # noqa: E731
-    report, telemetry_dir = _run_instrumented(args.telemetry, run)
+    records = read_log(args.input)
+    report, telemetry_dir = _run_instrumented(
+        args.telemetry, lambda: BaywatchPipeline(config).run_records(records)
+    )
     if args.provenance is not None:
         _write_provenance_dir(args.provenance, report)
     print(report.funnel.as_text())
@@ -634,12 +617,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             journal_dir=journal_home,
         )
         with engine:
-            if args.columnar:
-                from repro.sources.columnar import read_log_chunks
-
-                return runner.run_chunks_sharded(
-                    read_log_chunks(args.input), **sharded_kwargs
-                )
             return runner.run_sharded(read_log(args.input), **sharded_kwargs)
 
     telemetry_dir: Optional[Path] = None

@@ -224,9 +224,11 @@ class BaywatchPipeline:
     accumulates reported destinations, so a destination reported
     yesterday is suppressed (but logged) today.  It composes the shared
     :mod:`repro.stages` objects with an in-process detection executor;
-    record ingestion streams through
+    record ingestion goes through
     :func:`repro.sources.proxy.records_to_summaries`, so ``records``
-    may be a lazy iterator of any size.
+    may be a lazy iterator of any size, and a
+    :func:`~repro.sources.proxy.read_log` result folds on the columnar
+    plane.
     """
 
     def __init__(
@@ -293,7 +295,11 @@ class BaywatchPipeline:
     # -- public API --------------------------------------------------------
 
     def run_records(self, records: Iterable[ProxyLogRecord]) -> PipelineReport:
-        """Run the pipeline on raw proxy-log records (streamed)."""
+        """Run the pipeline on raw proxy-log records (streamed).
+
+        ``read_log(path)`` folds through its columnar chunks, any other
+        record iterable one record at a time; the report is the same.
+        """
         with span("records_to_summaries"):
             summaries = records_to_summaries(
                 records,

@@ -750,7 +750,8 @@ class BaywatchRunner:
         resume, and telemetry (``run_id`` / ``journal_dir``) semantics.
         Ingestion streams the records through
         :func:`repro.sources.proxy.records_to_summaries` (``records``
-        may be a lazy iterator); extraction and rescaling are cheap and
+        may be a lazy iterator; a ``read_log`` result folds on the
+        columnar plane); extraction and rescaling are cheap and
         deterministic, so a resumed run simply recomputes them from the
         same input.
         """

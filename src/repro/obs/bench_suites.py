@@ -36,6 +36,8 @@ Seven suites cover the pipeline's cost structure:
   ``peak_tracemalloc_kb`` probe must stay near-flat as the record count
   quadruples — the sub-linear-memory guarantee of the streaming path —
   while the columnar fold must hold a ≥10x events/sec lead over it.
+  ``ingest.read_log_fold_*`` times the file path ``repro run`` takes:
+  the same events read from a TSV file and folded columnar.
 
 Workloads are deterministic (fixed seeds) and sized so the micro suite
 finishes in seconds — small enough for a CI smoke job, large enough
@@ -329,6 +331,10 @@ def build_ingestion_suite() -> List[Benchmark]:
       summaries, so events/sec here is the data-plane speedup — the
       tentpole gate compares ``columnar_fold_4x`` against
       ``records_to_summaries_4x``.
+    - ``ingest.read_log_fold_{1x,4x}`` — the same events written to a
+      TSV file and folded by ``records_to_summaries(read_log(path))``,
+      the path ``repro run`` and ``repro pipeline`` take: parse,
+      intern and columnar fold, from disk to summaries.
     """
     from repro.sources.columnar import records_to_chunks, summaries_from_chunks
     from repro.sources.proxy import records_to_summaries
@@ -359,7 +365,27 @@ def build_ingestion_suite() -> List[Benchmark]:
         Benchmark("ingest.records_to_summaries_4x", run_4x),
         Benchmark("ingest.columnar_fold_1x", run_columnar_1x),
         Benchmark("ingest.columnar_fold_4x", run_columnar_4x),
+        _read_log_fold("ingest.read_log_fold_1x", base),
+        _read_log_fold("ingest.read_log_fold_4x", scaled),
     ]
+
+
+def _read_log_fold(name: str, records: List) -> Benchmark:
+    """Time ``records_to_summaries(read_log(path))`` over ``records`` on disk."""
+    import os
+    import tempfile
+
+    from repro.sources.proxy import read_log, records_to_summaries, write_log
+
+    handle, path = tempfile.mkstemp(prefix="repro-ingest-", suffix=".tsv")
+    os.close(handle)
+    write_log(records, path)
+
+    def run() -> int:
+        records_to_summaries(read_log(path))
+        return len(records)
+
+    return Benchmark(name, run, cleanup=lambda: os.unlink(path))
 
 
 def _detection_workload(

@@ -7,9 +7,9 @@ while the DNS and NetFlow modules (paper Section X) adapt resolver
 logs and flow records into the same stream, including the
 source-specific caveats the paper discusses (DNS caching, NetFlow's
 lack of names/content).  :mod:`repro.sources.columnar` is the
-high-throughput twin of the proxy path: the same logs parsed into
-numpy chunk arrays and folded vectorized, bit-identical to the object
-path.
+high-throughput twin of the proxy path and the default fold of a log
+file: the same logs parsed into numpy chunk arrays and folded
+vectorized, bit-identical to the object path.
 """
 
 from repro.sources.columnar import (
@@ -35,7 +35,9 @@ from repro.sources.netflow import (
     resolve_domain,
 )
 from repro.sources.proxy import (
+    LOG_CHUNK_ROWS,
     PairConfig,
+    ProxyLog,
     ProxyLogRecord,
     SummaryAccumulator,
     read_log,
@@ -61,7 +63,9 @@ __all__ = [
     "netflow_records_to_summaries",
     "netflow_view_of_proxy",
     "resolve_domain",
+    "LOG_CHUNK_ROWS",
     "PairConfig",
+    "ProxyLog",
     "ProxyLogRecord",
     "SummaryAccumulator",
     "read_log",
