@@ -24,7 +24,7 @@ from repro.sources import (
     netflow_view_of_proxy,
 )
 from repro.synthetic import BeaconSpec, FluxBeacon, subdomain_flux_pool
-from repro.synthetic.logs import records_to_summaries
+from repro.sources.proxy import records_to_summaries
 
 DAY = 86_400.0
 

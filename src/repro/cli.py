@@ -375,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--suite", default="micro", metavar="NAME",
         help="suite to run: micro, pipeline, mapreduce, ingestion, "
-             "detection_batch, scalability, or 'all' (default: micro)",
+             "detection_batch, scalability, incremental, or 'all' "
+             "(default: micro)",
     )
     bench.add_argument("--repeats", type=int, default=5,
                        help="timed iterations per benchmark (default 5)")

@@ -14,13 +14,23 @@ arithmetic.  This module amortizes it:
 - :class:`BatchedDetector` drives whole batches of
   :class:`~repro.core.timeseries.ActivitySummary` pairs through the
   :class:`~repro.core.detector.PeriodicityDetector` seams, replacing
-  the per-pair transforms with the kernels above.
+  the per-pair transforms with the kernels above.  With ``screen=True``
+  it first runs a stateless day-grid screen (:func:`screen_scales`,
+  :func:`bin_span`) that drops pairs whose spectrum cannot carry a
+  verified candidate before any of them pays for the interval GMM.
 
 Every kernel is bit-for-bit equivalent to its serial counterpart (the
 same mean removal, padding, and normalization in the same dtype), and
 the driver consumes each pair's seeded generator in the serial order —
 so batch size 1 *and* batch size N reproduce ``detect_summary`` exactly.
 The parity suite enforces this.
+
+The screen is the one deliberate exception.  It bins every pair on a
+fixed day-aligned grid (one window for the whole call) instead of from
+the pair's first event, so a pair sitting exactly at the detection
+boundary can be decided differently than the unscreened path decides
+it.  It can only *drop* pairs: survivors run the unchanged phases, so
+the screen never adds a detection.
 """
 
 from __future__ import annotations
@@ -42,14 +52,23 @@ from repro.core.periodogram import SpectralPeak, candidate_peaks
 from repro.core.timeseries import ActivitySummary
 from repro.obs.registry import get_registry
 from repro.obs.tracing import span
-from repro.utils.validation import as_sorted_timestamps, require
+from repro.utils.validation import (
+    as_sorted_timestamps,
+    require,
+    require_positive,
+)
 
 __all__ = [
+    "DAY",
     "batch_power_spectra",
     "batch_autocorrelation",
     "batch_candidate_peaks",
+    "bin_span",
+    "screen_scales",
     "BatchedDetector",
 ]
+
+DAY = 86_400.0
 
 
 def batch_power_spectra(
@@ -161,6 +180,90 @@ def batch_candidate_peaks(
     ]
 
 
+# -- the day-grid screen ------------------------------------------------------
+
+
+def _snap_bins_per_day(scale: float) -> int:
+    """Bins per day for ``scale``, snapped so a day is a whole number.
+
+    Every screen window is a whole number of days, so every screen
+    scale must divide the day exactly; ladder scales that do not (e.g.
+    38 400 s -> 2.25 bins/day) are snapped to the nearest day divisor
+    (43 200 s -> 2), preserving the ladder's coverage of slow periods.
+    """
+    return max(1, int(round(DAY / scale)))
+
+
+def screen_scales(
+    *,
+    time_scale: float,
+    window_days: int,
+    scale_factor: float = 4.0,
+    max_scales: int = 6,
+    min_slots: int = 32,
+    max_signal_length: int = 1 << 21,
+) -> List[Tuple[float, int]]:
+    """The day-divisor analysis ladder for a ``window_days`` window.
+
+    Mirrors the detector's geometric ladder
+    (:meth:`PeriodicityDetector._choose_scales`) but snaps each rung to
+    an exact divisor of the day.  Returns ``(scale_seconds,
+    bins_per_day)`` rungs, finest first; rungs whose signal would be too
+    long or too short are dropped, duplicates (after snapping) collapse.
+    """
+    require_positive(time_scale, "time_scale")
+    require(window_days >= 1, "window_days must be at least 1")
+    rungs: List[Tuple[float, int]] = []
+    seen = set()
+    scale = time_scale
+    for _ in range(max_scales):
+        bins_per_day = _snap_bins_per_day(scale)
+        n_slots = window_days * bins_per_day
+        if n_slots < max(min_slots, 8):
+            break
+        if n_slots <= max_signal_length and bins_per_day not in seen:
+            seen.add(bins_per_day)
+            rungs.append((DAY / bins_per_day, bins_per_day))
+        scale *= scale_factor
+    return rungs
+
+
+def bin_span(
+    timestamps: np.ndarray,
+    scale: float,
+    from_bin: int,
+    to_bin: int,
+    *,
+    binary: bool = True,
+) -> np.ndarray:
+    """Bin events into absolute grid slots ``[from_bin, to_bin)``.
+
+    Slot indices are global — ``floor(t / scale)`` — so every pair of a
+    call shares one grid and one signal length per rung.  Events outside
+    the span are dropped.
+    """
+    require(to_bin > from_bin, "to_bin must exceed from_bin")
+    n = to_bin - from_bin
+    ts = np.asarray(timestamps, dtype=float)
+    if ts.size == 0:
+        return np.zeros(n, dtype=float)
+    indices = np.floor(ts / scale).astype(np.int64) - from_bin
+    indices = indices[(indices >= 0) & (indices < n)]
+    signal = np.bincount(indices, minlength=n).astype(float)
+    if binary:
+        np.minimum(signal, 1.0, out=signal)
+    return signal
+
+
+@dataclass(frozen=True)
+class _ScreenWindow:
+    """One call's day-grid window and its rung ladder."""
+
+    start_day: int
+    end_day: int
+    rungs: List[Tuple[float, int]]
+
+
 @dataclass
 class _Slot:
     """One (pair, scale) unit of batched work."""
@@ -203,6 +306,12 @@ class BatchedDetector:
     Results are returned in input order and are identical to calling
     ``detector.detect_summary`` per pair — batching changes the
     transform grouping, never the arithmetic or the random stream.
+
+    ``screen=True`` adds phase 0 (:meth:`_screen_chunk`), the cheap
+    day-grid screen for rolling-window ticks: dropped pairs never reach
+    the interval GMM.  It needs a binary-signal detector with a
+    :class:`~repro.core.permutation.ThresholdCache` (thresholds are
+    looked up by signal shape); without one the screen is skipped.
     """
 
     def __init__(
@@ -211,22 +320,190 @@ class BatchedDetector:
         *,
         batch_size: int = 256,
         workers: Optional[int] = None,
+        screen: bool = False,
     ) -> None:
         require(batch_size >= 1, "batch_size must be at least 1")
         self.detector = detector or PeriodicityDetector()
         self.batch_size = batch_size
         self.workers = workers
+        self.screen = (
+            screen
+            and self.detector.threshold_cache is not None
+            and self.detector.config.binary_signal
+        )
 
     def detect_summaries(
         self, summaries: Sequence[ActivitySummary]
     ) -> List[DetectionResult]:
         """Detection results for ``summaries``, in input order."""
+        window = (
+            self._screen_window(summaries)
+            if self.screen and summaries
+            else None
+        )
         results: List[DetectionResult] = []
         for start in range(0, len(summaries), self.batch_size):
             chunk = summaries[start : start + self.batch_size]
             with span("detect.batch"):
-                results.extend(self._detect_chunk(chunk))
+                if window is None:
+                    results.extend(self._detect_chunk(chunk))
+                else:
+                    results.extend(self._screened_chunk(chunk, window))
         return results
+
+    # -- phase 0: the day-grid screen --------------------------------------
+
+    def _screen_window(
+        self, summaries: Sequence[ActivitySummary]
+    ) -> _ScreenWindow:
+        """The whole call's day-grid window, so verdicts never depend on
+        how the call is split into chunks.
+
+        The ladder starts where the coarsest summary's own ladder would
+        (cadences rescale uniformly, so normally they all match).
+        """
+        cfg = self.detector.config
+        first = min(s.first_timestamp for s in summaries)
+        last = max(s.first_timestamp + s.duration for s in summaries)
+        start_day = int(first // DAY)
+        end_day = int(last // DAY) + 1
+        rungs = screen_scales(
+            time_scale=max(
+                cfg.time_scale, max(s.time_scale for s in summaries)
+            ),
+            window_days=end_day - start_day,
+            scale_factor=cfg.scale_factor,
+            max_scales=cfg.max_scales,
+            min_slots=cfg.min_slots,
+            max_signal_length=cfg.max_signal_length,
+        )
+        return _ScreenWindow(start_day, end_day, rungs)
+
+    def _screened_chunk(
+        self, summaries: Sequence[ActivitySummary], window: _ScreenWindow
+    ) -> List[DetectionResult]:
+        """Phase 0, then phases 1-5 over the pairs it does not drop."""
+        with span("detect.batch.screen"):
+            dropped = self._screen_chunk(summaries, window)
+        survivors = [
+            summary
+            for summary, result in zip(summaries, dropped)
+            if result is None
+        ]
+        full = iter(self._detect_chunk(survivors) if survivors else [])
+        return [
+            result if result is not None else next(full)
+            for result in dropped
+        ]
+
+    def _screen_chunk(
+        self, summaries: Sequence[ActivitySummary], window: _ScreenWindow
+    ) -> List[Optional[DetectionResult]]:
+        """Phase 0 — the drop verdict per pair (None: run phases 1-5).
+
+        Per rung, every pair is binned into one equal-length stack on
+        the shared day grid and all rows share one batched FFT.  A pair
+        goes on only if its spectrum maximum clears the permutation
+        threshold at some rung *and* candidate pruning plus ACF
+        verification (:meth:`PeriodicityDetector.probe_prebinned`)
+        confirm a candidate on that same row.  Pairs the detector
+        rejects before any spectrum exists (too few events, ...) get
+        that early rejection here.
+        """
+        registry = get_registry()
+        out: List[Optional[DetectionResult]] = [None] * len(summaries)
+        if not window.rungs:
+            return out  # window too short for any rung: nothing to judge
+        rows: List[Tuple[int, PeriodicityDetector, np.ndarray]] = []
+        for index, summary in enumerate(summaries):
+            detector = self.detector.for_time_scale(summary.time_scale)
+            ts = as_sorted_timestamps(summary.timestamps())
+            early, _prepared = detector._screen(ts)
+            if early is None:
+                rows.append((index, detector, ts))
+            else:
+                out[index] = early
+        if not rows:
+            return out
+
+        cache = self.detector.threshold_cache
+        scales = tuple(scale for scale, _ in window.rungs)
+        signals: List[np.ndarray] = []
+        spectra: List[np.ndarray] = []
+        maxima: List[np.ndarray] = []
+        thresholds: List[List[float]] = []
+        for scale, bins_per_day in window.rungs:
+            from_bin = window.start_day * bins_per_day
+            to_bin = window.end_day * bins_per_day
+            stack = np.stack(
+                [bin_span(ts, scale, from_bin, to_bin) for _, _, ts in rows]
+            )
+            power = batch_power_spectra(stack, workers=self.workers)
+            signals.append(stack)
+            spectra.append(power)
+            maxima.append(power.max(axis=1))
+            thresholds.append([
+                cache.threshold(to_bin - from_bin, int(ones))
+                for ones in np.count_nonzero(stack, axis=1)
+            ])
+
+        for row, (index, detector, ts) in enumerate(rows):
+            passing = []
+            margin = float("-inf")
+            for rung in range(len(scales)):
+                max_power = float(maxima[rung][row])
+                threshold = thresholds[rung][row]
+                margin = max(margin, max_power - threshold)
+                if max_power > threshold:
+                    passing.append(rung)
+            drop = dict(
+                periodic=False,
+                candidates=(),
+                power_threshold=thresholds[0][row],
+                n_events=int(ts.size),
+                duration=float(ts[-1] - ts[0]),
+                time_scale=detector.config.time_scale,
+                scales=scales,
+                spectral_margin=margin,
+            )
+            if not passing:
+                registry.counter("detector.screen.power_dropped").inc()
+                out[index] = DetectionResult(
+                    rejection_reason=(
+                        "screen: spectrum below the permutation threshold "
+                        "at every day-grid scale"
+                    ),
+                    rejection_code="screen:power<threshold",
+                    **drop,
+                )
+                continue
+            plan = detector.screen_plan(ts)
+            if any(
+                detector.probe_prebinned(
+                    plan,
+                    scales[rung],
+                    signals[rung][row],
+                    spectra[rung][row],
+                    thresholds[rung][row],
+                )
+                for rung in passing
+            ):
+                continue
+            registry.counter("detector.screen.probe_dropped").inc()
+            if plan.n_raw == 0:
+                reason = "no spectral candidate above the threshold"
+            elif plan.n_pruned == 0:
+                reason = "every candidate pruned"
+            else:
+                reason = "no candidate survived ACF verification"
+            out[index] = DetectionResult(
+                rejection_reason=f"screen probe: {reason}",
+                rejection_code="screen:probe",
+                n_candidates_raw=plan.n_raw,
+                n_candidates_pruned=plan.n_pruned,
+                **drop,
+            )
+        return out
 
     # -- batch phases ------------------------------------------------------
 

@@ -312,13 +312,12 @@ class PeriodicityDetector:
     def screen_plan(self, timestamps: Sequence[float]) -> _PairPlan:
         """A pair plan for :meth:`probe_prebinned` — no GMM, no scales.
 
-        Incremental screening maintains binned signals and spectra
-        externally (sliding-DFT states on a fixed day grid) and only
-        needs the pair-level interval statistics to run candidate
-        pruning and ACF verification against them.  Skipping the GMM
-        fit keeps the probe cheap; the full detector re-runs on
-        whatever the probe lets through, so the fit is only ever paid
-        for genuine survivors.
+        The batched detector's day-grid screen bins signals and
+        computes spectra itself, and only needs the pair-level interval
+        statistics to run candidate pruning and ACF verification
+        against them.  Skipping the GMM fit keeps the probe cheap; the
+        full detector re-runs on whatever the probe lets through, so
+        the fit is only ever paid for genuine survivors.
         """
         ts = np.asarray(timestamps, dtype=float)
         duration = float(ts[-1] - ts[0]) if ts.size >= 2 else 0.0
@@ -347,7 +346,7 @@ class PeriodicityDetector:
         Runs candidate extraction, pruning, and ACF verification
         exactly as :meth:`_detect_at_scale` does, but on a caller-
         provided ``signal``/``spectrum``/``threshold`` triple (e.g. a
-        grid-anchored sliding-DFT state) instead of re-binning and
+        row of the day-grid screen) instead of re-binning and
         re-transforming the timestamps.  Returns the verified
         candidates at this scale; ``plan`` accumulates the usual
         provenance counters (``n_raw``, ``n_pruned``).

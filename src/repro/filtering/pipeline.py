@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectorConfig, PeriodicityDetector
@@ -70,24 +69,20 @@ class PipelineConfig:
     #: kernels are bit-for-bit equivalent) — the knob only trades peak
     #: memory for FFT/ACF dispatch amortization.
     detection_batch_size: int = 0
-    #: Reuse sliding-DFT spectral state across pipeline runs: detection
-    #: screens each pair on incrementally maintained periodograms and
-    #: only screen survivors pay for the full batched detector.  The
-    #: win applies to rolling windows re-run per tick (a 30-day window
-    #: stepped daily); one-shot runs simply pay a state build.  Requires
+    #: Screen pairs before full batched detection: each pair is binned
+    #: on a day-aligned grid shared by the whole call, and only pairs
+    #: whose spectrum clears the permutation threshold at some scale
+    #: *and* yields an ACF-verified candidate there go on to the full
+    #: detector (interval GMM included).  Built for rolling windows
+    #: re-run per tick (a 30-day window stepped daily), where most pairs
+    #: are not periodic.  The screen can only drop pairs, and a pair at
+    #: the detection boundary may be dropped where the unscreened path
+    #: keeps it; drops carry a ``screen:`` rejection code.  Requires
     #: ``use_threshold_cache`` and a binary-signal detector — otherwise
-    #: detection silently degrades to the plain batched path.  Part of
-    #: ``repr`` (and the sharded run fingerprint): warm spectral state
-    #: must never leak into a run configured without it.
-    incremental_detection: bool = False
-    #: Directory the incremental executor persists its warm spectral
-    #: states in (as ``incremental-state.bin``, next to the checkpoint
-    #: files) — typically a run's checkpoint directory.  None keeps the
-    #: states purely in memory.  The persisted cache carries a
-    #: detector-configuration fingerprint, so a stale or incompatible
-    #: file is discarded on load, never trusted.  Excluded from
-    #: ``repr``: where warmth lives on disk does not change reports.
-    incremental_state_dir: Optional[str] = field(default=None, repr=False)
+    #: detection runs the plain batched path.  Part of ``repr`` (and the
+    #: sharded run fingerprint): a screened run must not resume as an
+    #: unscreened one.
+    screened_detection: bool = False
     #: Hand detection workers their pair payloads through a
     #: :class:`~repro.mapreduce.shm.SummaryArena` instead of pickled
     #: summaries.  Only the MapReduce front end consults this (the
@@ -257,25 +252,16 @@ class BaywatchPipeline:
         # imported lazily here to keep the package graph acyclic.
         from repro.stages import (
             BatchedDetection,
-            IncrementalDetection,
             InProcessDetection,
             PeriodicityDetectionStage,
             default_stages,
         )
 
-        if self.config.incremental_detection:
-            state_path = None
-            if self.config.incremental_state_dir is not None:
-                from repro.jobs.checkpoint import INCREMENTAL_STATE_FILE
-
-                state_path = (
-                    Path(self.config.incremental_state_dir)
-                    / INCREMENTAL_STATE_FILE
-                )
-            executor = IncrementalDetection(
+        if self.config.screened_detection:
+            executor = BatchedDetection(
                 self.detector,
                 batch_size=max(1, self.config.detection_batch_size or 256),
-                state_path=state_path,
+                screen=True,
             )
         elif self.config.detection_batch_size > 0:
             executor = BatchedDetection(

@@ -6,7 +6,6 @@ from repro.jobs.extraction import DataExtractionJob
 from repro.jobs.rescaling import RescaleMergeJob
 from repro.jobs.popularity import DestinationPopularityJob, popularity_table
 from repro.jobs.detection import BeaconingDetectionJob
-from repro.jobs.ranking_job import RankingJob
 from repro.jobs.runner import BaywatchRunner, IncompleteRunError
 from repro.jobs.summary_store import (
     SummaryPacker,
@@ -29,7 +28,6 @@ __all__ = [
     "DestinationPopularityJob",
     "popularity_table",
     "BeaconingDetectionJob",
-    "RankingJob",
     "BaywatchRunner",
     "IncompleteRunError",
 ]

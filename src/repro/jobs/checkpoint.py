@@ -15,7 +15,6 @@ Layout of a checkpoint directory::
     shard-00007.jsonl      one line per detected case / quarantined unit
     quarantine.jsonl       consolidated quarantine report of the last run
     threshold-cache.json   warm permutation-threshold buckets (optional)
-    incremental-state.bin  warm sliding-DFT spectral states (optional)
 
 The manifest fingerprint covers the survivor pair list and the pipeline
 configuration, so a checkpoint can never be resumed against different
@@ -51,7 +50,6 @@ from repro.obs.provenance import (
 MANIFEST_FILE = "manifest.json"
 QUARANTINE_FILE = "quarantine.jsonl"
 THRESHOLD_CACHE_FILE = "threshold-cache.json"
-INCREMENTAL_STATE_FILE = "incremental-state.bin"
 CHECKPOINT_VERSION = 1
 
 
@@ -305,12 +303,6 @@ class CheckpointStore:
         """Where the warm threshold-cache buckets persist (see
         :meth:`repro.core.permutation.ThresholdCache.save`)."""
         return self.root / THRESHOLD_CACHE_FILE
-
-    @property
-    def incremental_state_path(self) -> Path:
-        """Where the warm sliding-DFT spectral states persist (see
-        :meth:`repro.core.incremental.IncrementalStateCache.save`)."""
-        return self.root / INCREMENTAL_STATE_FILE
 
     # -- manifest ----------------------------------------------------------
 

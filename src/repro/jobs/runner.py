@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.detector import DetectionResult
@@ -38,7 +37,6 @@ from repro.jobs.checkpoint import CheckpointStore, run_fingerprint
 from repro.jobs.detection import BeaconingDetectionJob
 from repro.jobs.extraction import DataExtractionJob
 from repro.jobs.popularity import DestinationPopularityJob, popularity_table
-from repro.jobs.ranking_job import RankingJob
 from repro.jobs.records import DetectionCase
 from repro.jobs.rescaling import RescaleMergeJob
 from repro.lm.domains import DomainScorer, default_scorer
@@ -417,9 +415,6 @@ class BaywatchRunner:
         self.threshold_cache: Optional[ThresholdCache] = (
             ThresholdCache() if self.config.use_threshold_cache else None
         )
-        # Built lazily (and only once) by _detection_executor so warm
-        # sliding-DFT states survive across staged runs.
-        self._incremental_executor: Optional[Any] = None
 
     @property
     def scorer(self) -> DomainScorer:
@@ -561,43 +556,6 @@ class BaywatchRunner:
                 arena.unlink()
         return [case for _pair, case in output]
 
-    def rank(
-        self,
-        cases: List[DetectionCase],
-        popularity: Dict[str, float],
-        similar_sources: Dict[str, int],
-    ) -> List[DetectionCase]:
-        """Phase E: token/novelty filtering, scoring, global ranking.
-
-        A standalone MapReduce counterpart of funnel steps 6-8 (the
-        end-to-end run modes execute those steps through the shared
-        :mod:`repro.stages` objects instead); survivors are recorded in
-        the novelty store.
-        """
-        with span("rank"):
-            lm_scores = {
-                destination: self.scorer.normalized_score(destination)
-                for destination in {case.summary.destination for case in cases}
-            }
-            job = RankingJob(
-                popularity=popularity,
-                similar_sources=similar_sources,
-                lm_scores=lm_scores,
-                reported_destinations=frozenset(self.novelty.reported_destinations),
-                token_filter=self.token_filter,
-                weights=self.config.ranking_weights,
-                percentile=self.config.ranking_percentile,
-            )
-            output = self.engine.run(job, [(case.pair, case) for case in cases])
-            ranked = [
-                case for _rank, case in sorted(output, key=lambda kv: kv[0])
-            ]
-            for case in ranked:
-                self.novelty.record(
-                    case.summary.source, case.summary.destination
-                )
-            return ranked
-
     # -- shared stage plumbing -----------------------------------------------
 
     def _stage_context(
@@ -703,31 +661,17 @@ class BaywatchRunner:
         """The staged run's detection executor.
 
         The engine-backed executor by default; with
-        ``config.incremental_detection`` a single
-        :class:`~repro.stages.IncrementalDetection` is kept on the
-        runner so repeated :meth:`run` calls over a rolling window
-        reuse (and, with ``config.incremental_state_dir``, persist —
-        mirroring the threshold cache's checkpoint-directory home) the
-        warm sliding-DFT states.
+        ``config.screened_detection`` the in-process screened batched
+        executor, which keeps no state between runs.
         """
-        if not self.config.incremental_detection:
+        if not self.config.screened_detection:
             return _EngineDetection(self)
-        if self._incremental_executor is None:
-            from repro.stages import IncrementalDetection
+        from repro.stages import BatchedDetection
 
-            state_path = None
-            if self.config.incremental_state_dir is not None:
-                from repro.jobs.checkpoint import INCREMENTAL_STATE_FILE
-
-                state_path = (
-                    Path(self.config.incremental_state_dir)
-                    / INCREMENTAL_STATE_FILE
-                )
-            self._incremental_executor = IncrementalDetection(
-                batch_size=max(1, self.config.detection_batch_size or 256),
-                state_path=state_path,
-            )
-        return self._incremental_executor
+        return BatchedDetection(
+            batch_size=max(1, self.config.detection_batch_size or 256),
+            screen=True,
+        )
 
     # -- sharded, checkpointed execution -------------------------------------
 

@@ -23,10 +23,10 @@ Seven suites cover the pipeline's cost structure:
   against the GIL-releasing kernels' thread scaling.
 - ``incremental`` — the rolling-window tick: cold full-window
   recomputation (fused merge + full batched detector, GMM screen on)
-  against the warm sliding-DFT append path of
-  :class:`~repro.stages.IncrementalDetection` on a 30-day, 1k-pair
-  window stepped one day per tick.  The committed baseline records the
-  warm path >= 8x faster per tick; the CI gate requires >= 5x.
+  against the screened batched executor
+  (:class:`~repro.stages.BatchedDetection` with ``screen=True``) on a
+  30-day, 1k-pair window stepped one day per tick.  The CI gate
+  requires the screened tick >= 5x faster than the cold one.
 - ``ingestion`` — both ingestion planes at 1x and 4x the record count
   over a fixed pair population: streaming record-to-summary grouping
   (:func:`repro.sources.proxy.records_to_summaries`) against the
@@ -656,38 +656,31 @@ def _rolling_window_days(
 
 
 def build_incremental_suite() -> List[Benchmark]:
-    """Cold full-window recompute vs the warm incremental append path.
+    """Cold full-window recompute vs the screened detection tick.
 
     A 30-day window over 1k pairs stepped one day per tick — the
-    rolling-window shape :class:`~repro.stages.IncrementalDetection`
-    exists for:
+    rolling-window shape the ``screened_detection`` setting is for:
 
-    - ``incremental.cold_recompute`` — one tick the pre-incremental
-      way: fuse-merge the trailing window per pair, then run the full
+    - ``incremental.cold_recompute`` — one tick without the screen:
+      fuse-merge the trailing window per pair, then run the full
       batched detector (default configuration, GMM interval screen
       *on*, warm shared threshold cache) over every pair.
-    - ``incremental.warm_append_day`` — the same tick through a
-      persistent incremental executor: per-pair sliding-DFT states
-      advance by the new day, the two-stage screen (threshold screen,
-      then candidate probe on the maintained spectra) rejects the
-      non-periodic bulk, and only survivors pay full detection.  The
-      executor is warmed at build time (the tick-0 state build plus one
-      append), so every timed iteration measures the steady state; each
-      iteration slides to a *new* day.  Engine counters (slides,
-      rebuilds, screen hit rate) land in the result's ``metrics``.
-    - ``incremental.state_roundtrip`` — serializing and restoring the
-      warm state cache, the cost a checkpointed run pays per persist.
+    - ``incremental.screened_tick`` — the same tick through a *fresh*
+      screened executor (``BatchedDetection(screen=True)``): the
+      day-grid screen (threshold, then candidate probe) drops the
+      non-periodic bulk and only survivors pay full detection.  The
+      executor keeps no state, so each iteration builds a new one and
+      slides to a new day.
 
-    The perf-smoke gate requires warm/cold >= 5x on mean tick time (the
-    committed baseline records >= 8x); report parity between the two
-    paths is owned by the executor-parity tests, not this suite.
+    The perf-smoke gate requires cold/screened >= 5x on mean tick time;
+    report parity between the two paths is owned by the executor-parity
+    tests, not this suite.
     """
     from repro.core.batch import BatchedDetector
     from repro.core.detector import DetectorConfig, PeriodicityDetector
-    from repro.core.gmm import select_gmm
     from repro.core.permutation import ThresholdCache
     from repro.core.timeseries import merge_rescaled
-    from repro.stages import IncrementalDetection, StageContext
+    from repro.stages import BatchedDetection, StageContext
     from repro.filtering.pipeline import PipelineConfig
 
     n_pairs, window_days, time_scale = 1000, 30, 600.0
@@ -720,70 +713,32 @@ def build_incremental_suite() -> List[Benchmark]:
 
     pipeline_config = PipelineConfig(
         detector=config,
-        incremental_detection=True,
+        screened_detection=True,
         detection_batch_size=256,
     )
     context = StageContext(config=pipeline_config, threshold_cache=warm_cache)
-    executor = IncrementalDetection(batch_size=256)
     cursor = window_days - 1
 
-    def warm_tick() -> int:
+    def screened_tick() -> int:
         nonlocal cursor
-        executor(context, window_summaries(cursor))
-        # Advance while fresh days remain; past the end, re-running the
-        # final day costs a no-op slide, which would *flatter* the
-        # numbers — total_days is sized so timed repeats never get there.
+        BatchedDetection(batch_size=256, screen=True)(
+            context, window_summaries(cursor)
+        )
         cursor = min(cursor + 1, total_days - 1)
         return n_pairs
 
-    warm_tick()  # tick 0: full state build (the one-time cold cost)
-    warm_tick()  # one append so steady-state timing starts clean
+    screened_tick()  # fills the shared threshold cache for the screen
 
-    def engine_metrics() -> Dict[str, float]:
-        engine = executor.engine
-        out = {"pairs": float(n_pairs), "window_days": float(window_days)}
-        if engine is not None:
-            out.update(
-                slides=float(engine.slides),
-                rebuilds=float(engine.rebuilds),
-                refreshes=float(engine.refreshes),
-                fallbacks=float(engine.fallbacks),
-                screened_out=float(engine.screened_out),
-                screened_in=float(engine.screened_in),
-                state_cache_hit_rate=float(engine.hit_rate()),
-            )
-        return out
-
-    def run_roundtrip() -> int:
-        import tempfile
-        from pathlib import Path as _Path
-
-        from repro.core.incremental import IncrementalStateCache
-
-        engine = executor.engine
-        if engine is None:  # pragma: no cover - warmed above
-            return 0
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _Path(tmp) / "incremental-state.bin"
-            engine.cache.save(path)
-            IncrementalStateCache.load(
-                path, fingerprint=engine.cache.fingerprint
-            )
-        return len(engine.cache)
+    def window_metrics() -> Dict[str, float]:
+        return {"pairs": float(n_pairs), "window_days": float(window_days)}
 
     return [
         Benchmark(
-            "incremental.cold_recompute",
-            run_cold,
-            metrics=lambda: {
-                "pairs": float(n_pairs),
-                "window_days": float(window_days),
-            },
+            "incremental.cold_recompute", run_cold, metrics=window_metrics
         ),
         Benchmark(
-            "incremental.warm_append_day", warm_tick, metrics=engine_metrics
+            "incremental.screened_tick", screened_tick, metrics=window_metrics
         ),
-        Benchmark("incremental.state_roundtrip", run_roundtrip),
     ]
 
 

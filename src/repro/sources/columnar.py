@@ -71,7 +71,7 @@ CHUNK_DTYPE = np.dtype(
         ("source_ip", "i4"),
         ("destination", "i4"),
         ("url", "i4"),
-        ("status", "i4"),
+        ("status", "i8"),
         ("bytes_sent", "i8"),
     ]
 )

@@ -21,7 +21,6 @@ from repro.stages.base import Stage, run_stages
 from repro.stages.context import PopularityIndex, StageContext, build_report
 from repro.stages.detection import (
     BatchedDetection,
-    IncrementalDetection,
     InProcessDetection,
     PeriodicityDetectionStage,
     build_case,
@@ -46,7 +45,6 @@ __all__ = [
     "StageContext",
     "build_report",
     "BatchedDetection",
-    "IncrementalDetection",
     "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",

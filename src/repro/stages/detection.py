@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BatchedDetection",
     "DetectionExecutor",
-    "IncrementalDetection",
     "InProcessDetection",
     "PeriodicityDetectionStage",
     "build_case",
@@ -110,6 +109,17 @@ def detection_verdicts(
 
     threshold = result.power_threshold
     margin = result.spectral_margin
+    if result.rejection_code.startswith("screen:"):
+        rec(
+            "spectral",
+            False,
+            result.rejection_code,
+            near_miss=policy.margin_near_miss(margin, threshold),
+            threshold=threshold,
+            margin=margin,
+            candidates=result.n_candidates_raw,
+        )
+        return records
     if not result.periodic and result.n_candidates_raw == 0:
         rec(
             "spectral",
@@ -250,6 +260,11 @@ class BatchedDetection:
     batch.  Batch size 1 reproduces :class:`InProcessDetection` bit for
     bit (enforced by the parity suite), so the knob trades nothing but
     peak memory for throughput.
+
+    ``screen=True`` (the ``screened_detection`` pipeline setting) runs
+    the batched detector's stateless day-grid screen first, so pairs it
+    drops never pay for the interval GMM; the screen keeps no state
+    between calls.
     """
 
     def __init__(
@@ -258,10 +273,12 @@ class BatchedDetection:
         *,
         batch_size: int = 256,
         workers: Optional[int] = None,
+        screen: bool = False,
     ) -> None:
         self._detector = detector
         self.batch_size = batch_size
         self.workers = workers
+        self.screen = screen
 
     def __call__(
         self, context: "StageContext", summaries: List[ActivitySummary]
@@ -275,7 +292,10 @@ class BatchedDetection:
                 threshold_cache=context.threshold_cache,
             )
         batched = BatchedDetector(
-            self._detector, batch_size=self.batch_size, workers=self.workers
+            self._detector,
+            batch_size=self.batch_size,
+            workers=self.workers,
+            screen=self.screen,
         )
         results = batched.detect_summaries(list(summaries))
         if context.provenance is not None:
@@ -287,283 +307,6 @@ class BatchedDetection:
                 (summary, result)
                 for summary, result in zip(summaries, results)
                 if result.periodic
-            ],
-            [],
-        )
-
-
-class IncrementalDetection:
-    """Executor that reuses sliding-DFT spectral states across ticks.
-
-    Wraps an :class:`~repro.core.incremental.IncrementalSpectralEngine`:
-    each call slides every pair's per-scale window states forward by the
-    new data (instead of recomputing periodograms from scratch), screens
-    the pairs against the permutation threshold on the maintained
-    spectra, and runs the full batched detector only on screen
-    survivors.  The screen has two stages: pairs below the
-    (margin-shaded) permutation threshold at every maintained scale are
-    rejected outright (they cannot produce a spectral candidate), and
-    pairs above it are *probed* — candidate pruning and ACF
-    verification run directly on the maintained windows and spectra —
-    so only pairs with a verified grid candidate pay for the full
-    event-anchored detection (including its GMM fit).
-
-    The engine's state cache persists via :meth:`save_state` /
-    :meth:`load_state` (the runner stores it in the checkpoint
-    directory next to ``threshold-cache.json``), so sharded and resumed
-    runs start warm.  A persisted cache whose fingerprint does not
-    match the current detector configuration is discarded, never
-    trusted.
-
-    Requirements: the detector must use binary signals and a
-    :class:`~repro.core.permutation.ThresholdCache` (the screen keys
-    thresholds on signal shape).  When either is missing the executor
-    degrades to plain :class:`BatchedDetection` behaviour.
-    """
-
-    def __init__(
-        self,
-        detector: Optional[PeriodicityDetector] = None,
-        *,
-        batch_size: int = 256,
-        workers: Optional[int] = None,
-        config: Optional[Any] = None,
-        state_path: Optional[Any] = None,
-    ) -> None:
-        self._detector = detector
-        self.batch_size = batch_size
-        self.workers = workers
-        self._incremental_config = config
-        self.state_path = state_path
-        self._engine: Optional[Any] = None
-        self._fingerprint = ""
-
-    # -- engine lifecycle --------------------------------------------------
-
-    @staticmethod
-    def fingerprint_for(detector_config: Any, time_scale: float) -> str:
-        """The compatibility fingerprint warm state is bound to."""
-        return f"incremental:v1:scale={time_scale!r}:{detector_config!r}"
-
-    def _ensure_engine(
-        self, context: "StageContext", time_scale: float
-    ) -> Any:
-        from repro.core.incremental import (
-            IncrementalSpectralEngine,
-            IncrementalStateCache,
-            IncrementalStateMismatch,
-        )
-
-        cfg = context.config.detector
-        fingerprint = self.fingerprint_for(cfg, time_scale)
-        if self._engine is not None and self._fingerprint == fingerprint:
-            return self._engine
-        cache = None
-        if self.state_path is not None:
-            try:
-                cache = IncrementalStateCache.load(
-                    self.state_path,
-                    fingerprint=fingerprint,
-                    config=self._incremental_config,
-                )
-            except FileNotFoundError:
-                cache = None
-            except (IncrementalStateMismatch, ValueError, OSError):
-                # Stale or incompatible warm state: start cold.
-                from repro.obs.registry import get_registry
-
-                get_registry().counter(
-                    "detector.incremental.state_rejected"
-                ).inc()
-                cache = None
-        self._engine = IncrementalSpectralEngine(
-            context.threshold_cache,
-            time_scale=time_scale,
-            scale_factor=cfg.scale_factor,
-            max_scales=cfg.max_scales,
-            min_slots=cfg.min_slots,
-            max_signal_length=cfg.max_signal_length,
-            config=self._incremental_config,
-            fingerprint=fingerprint,
-            cache=cache,
-        )
-        self._fingerprint = fingerprint
-        return self._engine
-
-    @property
-    def engine(self) -> Optional[Any]:
-        """The live spectral engine (None before the first call)."""
-        return self._engine
-
-    def save_state(self, path: Optional[Any] = None) -> Optional[Any]:
-        """Persist the engine's state cache; returns the written path."""
-        target = path if path is not None else self.state_path
-        if self._engine is None or target is None:
-            return None
-        return self._engine.cache.save(target)
-
-    # -- execution ---------------------------------------------------------
-
-    def __call__(
-        self, context: "StageContext", summaries: List[ActivitySummary]
-    ) -> Tuple[List[Tuple[ActivitySummary, DetectionResult]], List[Any]]:
-        """Slide states, screen, and fully detect only screen survivors."""
-        from repro.core.incremental import DAY
-        from repro.obs import span
-        from repro.obs.registry import get_registry
-
-        cfg = context.config.detector
-        if not summaries:
-            return [], []
-        if not cfg.binary_signal or context.threshold_cache is None:
-            # The screen needs shape-keyed thresholds; degrade to the
-            # plain batched executor rather than guessing.
-            fallback = BatchedDetection(
-                self._detector, batch_size=self.batch_size,
-                workers=self.workers,
-            )
-            return fallback(context, summaries)
-        if self._detector is None:
-            self._detector = PeriodicityDetector(
-                cfg, threshold_cache=context.threshold_cache
-            )
-        registry = get_registry()
-        with span("detect.incremental"):
-            # The engine ladder starts where the cold per-summary ladder
-            # would: at the coarsest summary granularity of the batch
-            # (cadences rescale uniformly, so normally they all match).
-            time_scale = max(
-                cfg.time_scale, max(s.time_scale for s in summaries)
-            )
-            engine = self._ensure_engine(context, time_scale)
-            first = min(s.first_timestamp for s in summaries)
-            last = max(s.first_timestamp + s.duration for s in summaries)
-            start_day = int(first // DAY)
-            end_day = int(last // DAY) + 1
-            engine.begin_tick(start_day, end_day)
-
-            results: List[Optional[DetectionResult]] = [None] * len(summaries)
-            survivors: List[int] = []
-            with span("detect.incremental.screen"):
-                for index, summary in enumerate(summaries):
-                    detector = self._detector.for_time_scale(
-                        summary.time_scale
-                    )
-                    ts = summary.timestamps()
-                    early, _prepared = detector._screen(ts)
-                    if early is not None:
-                        results[index] = early
-                        continue
-                    verdict = engine.observe(
-                        summary.source, summary.destination, ts
-                    )
-                    if not verdict.passed:
-                        results[index] = DetectionResult(
-                            periodic=False,
-                            candidates=(),
-                            power_threshold=verdict.threshold,
-                            n_events=int(ts.size),
-                            duration=float(ts[-1] - ts[0]),
-                            time_scale=detector.config.time_scale,
-                            scales=verdict.scales,
-                            rejection_reason=(
-                                "incremental screen: spectrum below the "
-                                "permutation threshold at every scale"
-                            ),
-                            rejection_code="spectral:power<threshold",
-                            spectral_margin=verdict.margin,
-                        )
-                        continue
-                    # Candidate probe: pruning + ACF verification run
-                    # directly on the maintained grid windows/spectra.
-                    # Only a pair with a verified grid candidate pays
-                    # for full event-anchored detection (with its GMM
-                    # fit); the bar and the filters are the detector's
-                    # own, just fed prebinned signals.
-                    plan = detector.screen_plan(ts)
-                    shaded = engine.config.screen_margin
-                    probed = False
-                    states = dict(
-                        engine.rung_states(
-                            summary.source, summary.destination
-                        )
-                    )
-                    for scale, max_power, threshold in verdict.rung_stats:
-                        state = states.get(scale)
-                        if state is None or max_power <= shaded * threshold:
-                            continue
-                        if detector.probe_prebinned(
-                            plan, scale, state.window, state.power(),
-                            threshold,
-                        ):
-                            probed = True
-                            break
-                    if probed:
-                        survivors.append(index)
-                        continue
-                    registry.counter(
-                        "detector.incremental.probe_rejected"
-                    ).inc()
-                    if plan.n_raw == 0:
-                        reason = (
-                            "incremental probe: no spectral candidate "
-                            "above the permutation threshold"
-                        )
-                        code = "spectral:power<threshold"
-                    elif plan.n_pruned == 0:
-                        reason = (
-                            "incremental probe: every candidate pruned"
-                        )
-                        code = "pruning:rejected"
-                    else:
-                        reason = (
-                            "incremental probe: no candidate survived "
-                            "ACF verification"
-                        )
-                        code = "acf:below_min_score"
-                    results[index] = DetectionResult(
-                        periodic=False,
-                        candidates=(),
-                        power_threshold=verdict.threshold,
-                        n_events=int(ts.size),
-                        duration=float(ts[-1] - ts[0]),
-                        time_scale=detector.config.time_scale,
-                        scales=verdict.scales,
-                        rejection_reason=reason,
-                        rejection_code=code,
-                        n_candidates_raw=plan.n_raw,
-                        n_candidates_pruned=plan.n_pruned,
-                        spectral_margin=verdict.margin,
-                    )
-            engine.end_tick()
-            registry.gauge("detector.incremental.state_cache_size").set(
-                len(engine.cache)
-            )
-            if survivors:
-                from repro.core.batch import BatchedDetector
-
-                with span("detect.incremental.full"):
-                    batched = BatchedDetector(
-                        self._detector,
-                        batch_size=self.batch_size,
-                        workers=self.workers,
-                    )
-                    full = batched.detect_summaries(
-                        [summaries[index] for index in survivors]
-                    )
-                for index, result in zip(survivors, full):
-                    results[index] = result
-            if self.state_path is not None:
-                self.save_state()
-        if context.provenance is not None:
-            record_detection_verdicts(
-                context.provenance, zip(summaries, results)
-            )
-        return (
-            [
-                (summary, result)
-                for summary, result in zip(summaries, results)
-                if result is not None and result.periodic
             ],
             [],
         )

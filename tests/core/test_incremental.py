@@ -1,103 +1,49 @@
-"""Tests for the incremental sliding-DFT spectral engine."""
+"""Tests for the day-grid screen of the batched detector.
+
+Rolling-window ticks (a trailing window re-run daily) screen every pair
+on a day-aligned grid before full detection; these tests cover the grid
+geometry and the screen's contract: it only ever *drops* pairs, with a
+``screen:`` rejection code, and every pair it keeps gets exactly the
+unscreened result.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.incremental import (
-    IncrementalConfig,
-    IncrementalSpectralState,
-    IncrementalStateCache,
-    IncrementalStateMismatch,
-    bin_span,
-    screen_scales,
-)
-from repro.core.periodogram import power_spectrum
+from repro.core.batch import BatchedDetector, bin_span, screen_scales
+from repro.core.detector import DetectorConfig, PeriodicityDetector
+from repro.core.permutation import ThresholdCache
+from repro.core.timeseries import ActivitySummary
+from repro.obs import MetricsRegistry, scoped_registry
+
+DAY = 86_400.0
 
 
-def _random_bins(rng, size):
-    return (rng.random(size) < 0.3).astype(float)
+def _pairs(seed, n_pairs=24, days=5, time_scale=600.0):
+    """A few slow beacons among sparse noise pairs over ``days`` days."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for pair in range(n_pairs):
+        if pair < 4:
+            period = 3600.0 * (1 + pair)
+            ts = np.arange(0.0, days * DAY, period)
+            ts = ts + rng.normal(0.0, 5.0, size=ts.size)
+            ts = ts[(ts >= 0) & (ts < days * DAY)]
+        else:
+            ts = np.sort(rng.uniform(0, days * DAY, size=8 * days))
+        out.append(
+            ActivitySummary.from_timestamps(
+                f"h{pair}", f"d{pair}.net", ts, time_scale=time_scale
+            )
+        )
+    return out
 
 
-class TestSlidingDftParity:
-    """The tentpole invariant: the maintained spectrum tracks the cold one."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=16, max_value=70),
-        n_appends=st.integers(min_value=1, max_value=12),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
+def _detector(cache=True):
+    return PeriodicityDetector(
+        DetectorConfig(seed=0, use_gmm=False),
+        threshold_cache=ThresholdCache() if cache else None,
     )
-    def test_tracks_cold_power_spectrum(self, n, n_appends, seed):
-        """Bit-identical at refresh points, <= 1e-9 drift between them.
-
-        Window lengths 16..70 cross several ``next_fast_len``
-        boundaries, so both FFT-friendly and awkward lengths (primes,
-        2*prime) are exercised.
-        """
-        rng = np.random.default_rng(seed)
-        config = IncrementalConfig(refresh_every=4)
-        state = IncrementalSpectralState(_random_bins(rng, n), config=config)
-        for _ in range(n_appends):
-            shift = int(rng.integers(1, max(2, n // 3)))
-            outcome = state.append_bins(_random_bins(rng, shift))
-            cold = power_spectrum(state.window)
-            if state.power_exact:
-                assert outcome in ("refresh", "fallback")
-                np.testing.assert_array_equal(state.power(), cold)
-            else:
-                assert outcome == "slide"
-                np.testing.assert_allclose(
-                    state.power(), cold, atol=1e-9, rtol=1e-9
-                )
-
-    def test_refresh_cadence_is_exact(self):
-        rng = np.random.default_rng(1)
-        config = IncrementalConfig(refresh_every=3)
-        state = IncrementalSpectralState(_random_bins(rng, 48), config=config)
-        outcomes = [state.append_bins(_random_bins(rng, 2)) for _ in range(6)]
-        assert outcomes == [
-            "slide", "slide", "refresh", "slide", "slide", "refresh"
-        ]
-        np.testing.assert_array_equal(
-            state.power(), power_spectrum(state.window)
-        )
-
-    def test_large_shift_falls_back_to_full_recompute(self):
-        rng = np.random.default_rng(2)
-        config = IncrementalConfig(max_drift_fraction=0.25)
-        state = IncrementalSpectralState(_random_bins(rng, 40), config=config)
-        outcome = state.append_bins(_random_bins(rng, 20))  # 50% > 25%
-        assert outcome == "fallback"
-        assert state.power_exact
-        np.testing.assert_array_equal(
-            state.power(), power_spectrum(state.window)
-        )
-
-    def test_tight_error_bound_forces_refresh(self):
-        # Irrational-ish float bins guarantee rounding in the update, so
-        # the Parseval self-check must exceed a near-zero bound quickly.
-        rng = np.random.default_rng(3)
-        config = IncrementalConfig(
-            refresh_every=1_000_000, error_bound=1e-300
-        )
-        state = IncrementalSpectralState(rng.random(32), config=config)
-        outcomes = {state.append_bins(rng.random(4)) for _ in range(8)}
-        assert "refresh" in outcomes
-
-    def test_empty_append_is_a_noop(self):
-        state = IncrementalSpectralState(np.ones(16))
-        before = state.power().copy()
-        assert state.append_bins(np.array([])) == "noop"
-        np.testing.assert_array_equal(state.power(), before)
-
-    def test_window_tracks_absolute_grid(self):
-        state = IncrementalSpectralState(np.zeros(8), start_bin=100)
-        state.append_bins(np.ones(3))
-        assert state.start_bin == 103
-        assert state.end_bin == 111
-        np.testing.assert_array_equal(state.window[-3:], np.ones(3))
 
 
 class TestBinSpan:
@@ -129,50 +75,84 @@ class TestScreenScales:
         assert rungs[0][0] >= 600.0
 
 
-class TestStateCachePersistence:
-    def _cache(self, rng, n_states=5):
-        cache = IncrementalStateCache(fingerprint="cfg-v1")
-        for index in range(n_states):
-            state = IncrementalSpectralState(
-                _random_bins(rng, 24 + index), start_bin=index * 7
+class TestScreenPhase:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_drops_and_keeps_survivors_exact(self, seed):
+        summaries = _pairs(seed)
+        plain = BatchedDetector(_detector(), batch_size=8).detect_summaries(
+            summaries
+        )
+        screened = BatchedDetector(
+            _detector(), batch_size=8, screen=True
+        ).detect_summaries(summaries)
+        codes = set()
+        for cold, warm in zip(plain, screened):
+            if warm.rejection_code.startswith("screen:"):
+                assert not warm.periodic
+                codes.add(warm.rejection_code)
+            else:
+                assert repr(warm) == repr(cold)
+        assert codes  # the screen dropped something on every seed
+        assert any(result.periodic for result in screened)
+
+    def test_verdicts_do_not_depend_on_batch_size(self):
+        # The first five pairs are only active on the last two days, so
+        # a window taken per chunk (not per call) would differ by chunk.
+        late = [
+            ActivitySummary.from_timestamps(
+                s.source, s.destination,
+                s.timestamps()[s.timestamps() >= 3 * DAY],
+                time_scale=s.time_scale,
             )
-            state.append_bins(_random_bins(rng, 3))
-            cache.put(f"pair-{index}\x1fdest\x1f144", state)
-        return cache
+            for s in _pairs(5)[:5]
+        ]
+        summaries = late + _pairs(3)
+        by_size = [
+            [
+                repr(result)
+                for result in BatchedDetector(
+                    _detector(), batch_size=size, screen=True
+                ).detect_summaries(summaries)
+            ]
+            for size in (1, 5, 64)
+        ]
+        assert by_size[0] == by_size[1] == by_size[2]
 
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        cache = self._cache(rng)
-        path = tmp_path / "incremental-state.bin"
-        cache.save(path)
-        loaded = IncrementalStateCache.load(path, fingerprint="cfg-v1")
-        assert sorted(loaded.keys()) == sorted(cache.keys())
-        for key in cache.keys():
-            original, restored = cache.get(key), loaded.get(key)
-            assert restored.start_bin == original.start_bin
-            assert restored.n == original.n
-            np.testing.assert_array_equal(restored.window, original.window)
-            np.testing.assert_array_equal(restored.power(), original.power())
+    def test_window_too_short_for_any_rung_drops_nothing(self):
+        # A 5-day window at 13 400 s snaps to 6 bins/day: 30 grid bins,
+        # below min_slots, so no rung exists — while the detector's own
+        # event-anchored ladder (432 000 s / 13 400 s = 32 slots) does
+        # analyse the pairs.  The screen must then pass every pair on.
+        rng = np.random.default_rng(0)
+        end = 5 * DAY - 1
+        noise = np.concatenate([[0.0], rng.uniform(0, end, 40), [end]])
+        beacon = np.append(np.arange(0.0, end, 4 * 13_400.0), end)
+        summaries = [
+            ActivitySummary.from_timestamps(
+                src, dst, np.sort(ts), time_scale=13_400.0
+            )
+            for src, dst, ts in (("a", "b", noise), ("c", "d", beacon))
+        ]
+        assert screen_scales(time_scale=13_400.0, window_days=5) == []
+        plain = BatchedDetector(_detector()).detect_summaries(summaries)
+        screened = BatchedDetector(_detector(), screen=True).detect_summaries(
+            summaries
+        )
+        assert [r.periodic for r in plain] == [False, True]
+        assert [repr(r) for r in screened] == [repr(r) for r in plain]
 
-    def test_restored_state_keeps_sliding(self, tmp_path):
-        rng = np.random.default_rng(10)
-        cache = self._cache(rng, n_states=1)
-        path = cache.save(tmp_path / "state.bin")
-        loaded = IncrementalStateCache.load(path, fingerprint="cfg-v1")
-        key = cache.keys()[0]
-        original, restored = cache.get(key), loaded.get(key)
-        bins = _random_bins(rng, 4)
-        assert original.append_bins(bins.copy()) == restored.append_bins(bins)
-        np.testing.assert_array_equal(restored.power(), original.power())
+    def test_early_rejection_is_counted_once(self):
+        few = ActivitySummary.from_timestamps(
+            "x", "y.net", [0.0, 4 * DAY], time_scale=600.0
+        )
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            results = BatchedDetector(
+                _detector(), screen=True
+            ).detect_summaries(_pairs(0)[:6] + [few])
+        assert results[-1].rejection_code == "spectral:min_events"
+        assert registry.counter("detector.pairs_rejected_early").value == 1
 
-    def test_fingerprint_mismatch_raises(self, tmp_path):
-        rng = np.random.default_rng(11)
-        path = self._cache(rng).save(tmp_path / "state.bin")
-        with pytest.raises(IncrementalStateMismatch):
-            IncrementalStateCache.load(path, fingerprint="other-config")
-
-    def test_corrupt_file_raises_value_error(self, tmp_path):
-        path = tmp_path / "state.bin"
-        path.write_bytes(b"not a state cache")
-        with pytest.raises((IncrementalStateMismatch, ValueError)):
-            IncrementalStateCache.load(path, fingerprint="cfg-v1")
+    def test_needs_a_threshold_cache(self):
+        assert BatchedDetector(_detector(cache=True), screen=True).screen
+        assert not BatchedDetector(_detector(cache=False), screen=True).screen

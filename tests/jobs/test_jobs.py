@@ -7,7 +7,6 @@ from repro.jobs import (
     BeaconingDetectionJob,
     DataExtractionJob,
     DestinationPopularityJob,
-    RankingJob,
     RescaleMergeJob,
     popularity_table,
 )
@@ -139,59 +138,3 @@ class TestDetectionJob:
         job._get_detector()
         clone = pickle.loads(pickle.dumps(job))
         assert clone._detector is None
-
-
-class TestRankingJob:
-    def make_case(self, destination, urls=("/gate.php",), period=60.0):
-        summary = ActivitySummary.from_timestamps(
-            "m", destination, [i * period for i in range(50)], urls=urls
-        )
-        from repro.core.detector import CandidatePeriod, DetectionResult
-
-        detection = DetectionResult(
-            periodic=True,
-            candidates=(
-                CandidatePeriod(period, 1 / period, 50.0, 0.9, 0.5),
-            ),
-            power_threshold=5.0,
-            n_events=50,
-            duration=49 * period,
-            time_scale=1.0,
-        )
-        return DetectionCase(summary=summary, detection=detection)
-
-    def job(self, **kwargs):
-        defaults = dict(
-            popularity={"dga1.com": 0.01, "update.com": 0.01},
-            similar_sources={"dga1.com": 1, "update.com": 1},
-            lm_scores={"dga1.com": -3.0, "update.com": -1.0},
-            percentile=0.0,
-        )
-        defaults.update(kwargs)
-        return RankingJob(**defaults)
-
-    def test_ranks_dga_above_benign(self, engine):
-        cases = [self.make_case("update.com"), self.make_case("dga1.com")]
-        output = engine.run(self.job(), [(c.pair, c) for c in cases])
-        ranked = [case.summary.destination for _rank, case in sorted(output)]
-        assert ranked[0] == "dga1.com"
-
-    def test_token_filter_suppresses_updaters(self, engine):
-        cases = [self.make_case("update.com", urls=("/v2/update/check",))]
-        output = engine.run(self.job(), [(c.pair, c) for c in cases])
-        assert output == []
-
-    def test_novelty_suppresses_reported(self, engine):
-        cases = [self.make_case("dga1.com")]
-        job = self.job(reported_destinations=frozenset({"dga1.com"}))
-        assert engine.run(job, [(c.pair, c) for c in cases]) == []
-
-    def test_percentile_cut(self, engine):
-        cases = [self.make_case(f"dga{i}.com") for i in range(10)]
-        job = self.job(
-            popularity={}, similar_sources={},
-            lm_scores={f"dga{i}.com": -3.0 + i * 0.1 for i in range(10)},
-            percentile=0.8,
-        )
-        output = engine.run(job, [(c.pair, c) for c in cases])
-        assert 1 <= len(output) <= 3

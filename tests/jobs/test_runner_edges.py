@@ -48,7 +48,6 @@ class TestRunnerEdges:
         ratios, counts, population = runner.popularity([])
         assert ratios == {} and counts == {} and population == 0
         assert runner.detect([], frozenset()) == []
-        assert runner.rank([], {}, {}) == []
 
     def test_novelty_across_runs(self, rng):
         from repro.filtering import NoveltyStore

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.sources import columnar
 from repro.sources.columnar import (
+    chunks_to_records,
     read_log_chunks,
     records_to_chunks,
     summaries_from_chunks,
@@ -148,6 +149,15 @@ class TestDefaultIngestParity:
         via_path = [chunk.to_records() for chunk in read_log_chunks(path)]
         assert [list(c) for c in via_log] == [list(c) for c in via_path]
 
+    def test_wide_status_round_trips(self, tmp_path):
+        # A status above 2**31 must survive the columnar plane unwrapped.
+        wide = GOOD.replace("\t200\t", "\t3000000000\t")
+        path = tmp_path / "log.tsv"
+        write_lines(path, [GOOD, wide], compress=False)
+        records = list(read_log(path))
+        assert [record.status for record in records] == [200, 3_000_000_000]
+        assert list(chunks_to_records(read_log_chunks(path))) == records
+
 
 def both_planes(path: Path):
     """Consume ``path`` through record iteration and through chunks."""
@@ -211,6 +221,14 @@ class TestBadInputRejectedAlike:
                 ValueError,
                 match=r"malformed log line 2: expected 7 tab-separated fields, got 6",
             ):
+                consume()
+
+    def test_status_outside_int64(self, tmp_path):
+        bad = GOOD.replace("\t200\t", "\t10000000000000000000\t")
+        path = tmp_path / "log.tsv"
+        write_lines(path, [GOOD, bad], compress=False)
+        for consume in both_planes(path):
+            with pytest.raises(ValueError, match=r"log line 2: .* 64-bit range"):
                 consume()
 
     def test_non_numeric_field(self, tmp_path):

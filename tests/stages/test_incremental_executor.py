@@ -1,18 +1,18 @@
-"""Parity and resume tests for the incremental detection executor.
+"""Parity tests for the screened detection executor on rolling ticks.
 
 The contract under test, across the ticks of a rolling window:
 
-- the warm :class:`~repro.stages.IncrementalDetection` path never
-  *adds* a detection over the cold full-window
+- the screened :class:`~repro.stages.BatchedDetection` (``screen=True``)
+  never *adds* a detection over the unscreened cold
   :class:`~repro.stages.BatchedDetection` run (the screen can only
-  reject), and every true beacon the cold run reports comes back with
+  drop), and every true beacon the cold run reports comes back with
   identical candidate periods;
 - on typical workloads the reports are exactly equal (the screen's
   grid-anchored spectra may drop a borderline coarse-rung false
   positive the event-anchored cold path keeps — the one documented
-  divergence);
-- a run resumed from persisted state reports exactly what an
-  uninterrupted warm run reports.
+  divergence), and such a drop carries a ``screen:`` rejection code;
+- the screen keeps no state: a fresh executor per tick reports what
+  one reused executor reports.
 """
 
 from typing import List
@@ -24,7 +24,9 @@ from repro.core.detector import DetectorConfig
 from repro.core.permutation import ThresholdCache
 from repro.core.timeseries import ActivitySummary, merge_rescaled
 from repro.filtering.pipeline import PipelineConfig
-from repro.stages import BatchedDetection, IncrementalDetection, StageContext
+from repro.obs import MetricsRegistry, scoped_registry
+from repro.obs.provenance import ProvenancePolicy, ProvenanceRecorder
+from repro.stages import BatchedDetection, StageContext
 
 DAY = 86_400.0
 TIME_SCALE = 600.0
@@ -78,10 +80,14 @@ def _context(cache: ThresholdCache) -> StageContext:
         config=PipelineConfig(
             detector=DetectorConfig(seed=0, use_gmm=False),
             detection_batch_size=64,
-            incremental_detection=True,
+            screened_detection=True,
         ),
         threshold_cache=cache,
     )
+
+
+def _screened() -> BatchedDetection:
+    return BatchedDetection(batch_size=64, screen=True)
 
 
 def _verdicts(results):
@@ -112,16 +118,16 @@ class TestExecutorParity:
         cold_context = _context(ThresholdCache())
         warm_context = _context(ThresholdCache())
         cold = BatchedDetection(batch_size=64)
-        warm = IncrementalDetection(batch_size=64)
+        warm = _screened()
+        registry = MetricsRegistry()
         for end_day in range(WINDOW_DAYS - 1, N_DAYS):
             summaries = _window(days, end_day)
             cold_results, _ = cold(cold_context, summaries)
-            warm_results, _ = warm(warm_context, summaries)
+            with scoped_registry(registry):
+                warm_results, _ = warm(warm_context, summaries)
             assert _verdicts(warm_results) == _verdicts(cold_results)
-        engine = warm.engine
-        assert engine is not None
-        assert engine.slides > 0  # the fast path actually ran
-        assert engine.screened_out > 0  # and the screen did real work
+        # The screen did real work: it spared pairs the full detector.
+        assert registry.counter("detector.screen.power_dropped").value > 0
 
     def test_never_adds_detections_and_keeps_beacons(self):
         # A seed with a borderline cold-only coarse-rung positive: the
@@ -131,7 +137,7 @@ class TestExecutorParity:
         cold_context = _context(ThresholdCache())
         warm_context = _context(ThresholdCache())
         cold = BatchedDetection(batch_size=64)
-        warm = IncrementalDetection(batch_size=64)
+        warm = _screened()
         for end_day in range(WINDOW_DAYS - 1, N_DAYS):
             summaries = _window(days, end_day)
             cold_verdicts = _verdicts(cold(cold_context, summaries)[0])
@@ -145,69 +151,55 @@ class TestExecutorParity:
     def test_degrades_without_threshold_cache(self, days):
         context = _context(ThresholdCache())
         context.threshold_cache = None
-        executor = IncrementalDetection(batch_size=64)
-        results, quarantined = executor(
-            context, _window(days, WINDOW_DAYS - 1)
-        )
-        assert quarantined == []
-        assert executor.engine is None  # fell back to plain batched
-        assert all(result.periodic for _summary, result in results)
-
-
-class TestInterruptResume:
-    def test_persisted_state_resumes_identically(self, days, tmp_path):
-        state_path = tmp_path / "incremental-state.bin"
-
-        # Continuous run: warm executor over every tick.
-        continuous_context = _context(ThresholdCache())
-        continuous = IncrementalDetection(batch_size=64)
-        continuous_results = None
-        for end_day in range(WINDOW_DAYS - 1, N_DAYS):
-            continuous_results, _ = continuous(
-                continuous_context, _window(days, end_day)
-            )
-
-        # Interrupted run: same ticks, but the executor is torn down
-        # and rebuilt from the persisted state before the final tick.
-        first_context = _context(ThresholdCache())
-        first = IncrementalDetection(batch_size=64, state_path=state_path)
-        for end_day in range(WINDOW_DAYS - 1, N_DAYS - 1):
-            first(first_context, _window(days, end_day))
-        assert state_path.exists()
-
-        resumed_context = _context(ThresholdCache())
-        resumed = IncrementalDetection(batch_size=64, state_path=state_path)
-        resumed_results, _ = resumed(
-            resumed_context, _window(days, N_DAYS - 1)
-        )
-        assert _verdicts(resumed_results) == _verdicts(continuous_results)
-        # The resumed engine slid warm states instead of rebuilding all.
-        assert resumed.engine.slides > 0
-
-    def test_mismatched_state_is_discarded_not_trusted(self, days, tmp_path):
-        state_path = tmp_path / "incremental-state.bin"
-        first = IncrementalDetection(batch_size=64, state_path=state_path)
-        first(_context(ThresholdCache()), _window(days, WINDOW_DAYS - 1))
-        assert state_path.exists()
-
-        # A run with a different detector configuration must reject the
-        # persisted warm state and still produce the cold answer.
-        other_config = PipelineConfig(
-            detector=DetectorConfig(seed=0, use_gmm=False, min_acf_score=0.4),
-            detection_batch_size=64,
-            incremental_detection=True,
-        )
-        other_context = StageContext(
-            config=other_config, threshold_cache=ThresholdCache()
-        )
-        resumed = IncrementalDetection(batch_size=64, state_path=state_path)
         summaries = _window(days, WINDOW_DAYS - 1)
-        warm_results, _ = resumed(other_context, summaries)
-        cold_results, _ = BatchedDetection(batch_size=64)(
-            StageContext(
-                config=other_config, threshold_cache=ThresholdCache()
-            ),
-            summaries,
+        results, quarantined = _screened()(context, summaries)
+        assert quarantined == []
+        assert all(result.periodic for _summary, result in results)
+        # No cache, no screen: exactly the plain batched answer.
+        plain, _ = BatchedDetection(batch_size=64)(context, summaries)
+        assert [repr(r) for _s, r in results] == [repr(r) for _s, r in plain]
+
+
+class TestStatelessScreen:
+    def test_fresh_executor_per_tick_matches_reused_executor(self, days):
+        reused_context = _context(ThresholdCache())
+        reused = _screened()
+        for end_day in range(WINDOW_DAYS - 1, N_DAYS):
+            summaries = _window(days, end_day)
+            reused_results, _ = reused(reused_context, summaries)
+            fresh_results, _ = _screened()(
+                _context(ThresholdCache()), summaries
+            )
+            assert [repr(r) for _s, r in fresh_results] == [
+                repr(r) for _s, r in reused_results
+            ]
+
+
+class TestScreenDropCodes:
+    def test_screen_drop_carries_a_screen_code(self):
+        # Seed 1, tick ending on day 5: the cold run reports host-21 on
+        # a coarse-rung period the day-grid screen does not confirm.
+        summaries = _window(_day_summaries(seed=1), 5)
+        cold, _ = BatchedDetection(batch_size=64)(
+            _context(ThresholdCache()), summaries
         )
-        assert resumed.engine.rebuilds > 0  # started cold
-        assert _verdicts(warm_results) == _verdicts(cold_results)
+        reported = {
+            summary.source: result.dominant_period
+            for summary, result in cold
+        }
+        assert reported["host-21"] == pytest.approx(16_228.6, abs=0.1)
+
+        context = _context(ThresholdCache())
+        context.provenance = ProvenanceRecorder(
+            ProvenancePolicy(sample_early_drops=1.0)
+        )
+        screened, _ = _screened()(context, summaries)
+        assert "host-21" not in {summary.source for summary, _ in screened}
+        chain = [
+            record
+            for record in context.provenance.drain()
+            if record.source == "host-21"
+        ]
+        assert [record.kept for record in chain] == [False]
+        assert chain[0].stage == "spectral"
+        assert chain[0].reason in ("screen:power<threshold", "screen:probe")

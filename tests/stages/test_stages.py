@@ -2,18 +2,23 @@
 
 import pytest
 
+from repro.core.detector import CandidatePeriod, DetectionResult
 from repro.core.timeseries import ActivitySummary
-from repro.filtering import GlobalWhitelist, PipelineConfig
+from repro.filtering import GlobalWhitelist, NoveltyStore, PipelineConfig
+from repro.filtering.case import BeaconingCase
 from repro.filtering.pipeline import FunnelStats
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.stages import (
     GlobalWhitelistStage,
     LocalWhitelistStage,
     MinEventsStage,
+    NoveltyStage,
     PeriodicityDetectionStage,
     PopularityIndex,
+    RankingStage,
     Stage,
     StageContext,
+    TokenFilterStage,
     build_report,
     default_stages,
     run_stages,
@@ -144,6 +149,73 @@ class TestIndividualStages:
         assert out == []
         assert context.detected == []
         assert context.quarantined == [sentinel]
+
+
+def beaconing_case(destination, *, urls=("/gate.php",), lm_score=-3.0):
+    period = 60.0
+    detection = DetectionResult(
+        periodic=True,
+        candidates=(CandidatePeriod(period, 1 / period, 50.0, 0.9, 0.5),),
+        power_threshold=5.0,
+        n_events=50,
+        duration=49 * period,
+        time_scale=1.0,
+    )
+    return BeaconingCase(
+        summary=ActivitySummary.from_timestamps(
+            "m", destination, [i * period for i in range(50)], urls=urls
+        ),
+        detection=detection,
+        popularity=0.01,
+        lm_score=lm_score,
+    )
+
+
+class TestRankingStages:
+    """Funnel steps 6-8 on hand-built detected cases."""
+
+    def test_ranks_dga_above_benign(self):
+        context = make_context(config=PipelineConfig(ranking_percentile=0.0))
+        ranked = RankingStage().apply(
+            context,
+            [
+                beaconing_case("update.com", lm_score=-1.0),
+                beaconing_case("dga1.com", lm_score=-3.0),
+            ],
+        )
+        assert [case.destination for case in ranked] == [
+            "dga1.com", "update.com",
+        ]
+
+    def test_token_filter_suppresses_updaters(self):
+        kept = TokenFilterStage().apply(
+            make_context(),
+            [
+                beaconing_case("update.com", urls=("/v2/update/check",)),
+                beaconing_case("dga1.com"),
+            ],
+        )
+        assert [case.destination for case in kept] == ["dga1.com"]
+
+    def test_novelty_suppresses_reported(self):
+        novelty = NoveltyStore()
+        novelty.record("other-host", "dga1.com")
+        kept = NoveltyStage().apply(
+            make_context(novelty=novelty),
+            [beaconing_case("dga1.com"), beaconing_case("dga2.com")],
+        )
+        assert [case.destination for case in kept] == ["dga2.com"]
+
+    def test_percentile_cut(self):
+        context = make_context(config=PipelineConfig(ranking_percentile=0.8))
+        ranked = RankingStage().apply(
+            context,
+            [
+                beaconing_case(f"dga{i}.com", lm_score=-3.0 + i * 0.1)
+                for i in range(10)
+            ],
+        )
+        assert 1 <= len(ranked) <= 3
 
 
 class TestBuildReport:

@@ -8,7 +8,7 @@ from repro.synthetic.enterprise import (
     EnterpriseSimulator,
     ImplantSpec,
 )
-from repro.synthetic.logs import records_to_summaries
+from repro.sources.proxy import records_to_summaries
 
 
 @pytest.fixture(scope="module")
